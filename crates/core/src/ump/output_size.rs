@@ -94,13 +94,8 @@ pub fn solve_oump_with(
 }
 
 impl SolveSession {
-    /// Solve the O-UMP through this session, reusing the previous
-    /// optimal basis (ideal for budget sweeps over one constraint
-    /// system). O-UMP grid steps are *declared* rhs-only
-    /// perturbations: for a fixed preprocessed log only the row
-    /// right-hand side `B` moves, so consecutive solves restore the
-    /// previous basis and dual-reoptimize in a handful of pivots. The
-    /// session's LP options override `opts.lp`.
+    /// Solve the O-UMP through this session, counting the solve in its
+    /// stats. The session's LP options override `opts.lp`.
     pub fn solve_oump(
         &mut self,
         constraints: &PrivacyConstraints,
@@ -145,10 +140,7 @@ fn solve_oump_inner(
 
     let p = build_problem(constraints, opts);
     let sol: Solution = match session {
-        // budget sweeps move only the row rhs: declare it so the
-        // session skips the fingerprint scan and goes straight to the
-        // dual-reoptimization attempt
-        Some(s) => s.solve_rhs_step(&p)?,
+        Some(s) => s.solve(&p)?,
         None => solve(&p, &opts.lp)?,
     };
     let capped = sol.status == SolveStatus::IterationLimit && opts.anytime;

@@ -5,7 +5,7 @@
 //! `repro` output byte-identical across runs and `--jobs` values — but
 //! each experiment renders into its own buffer and parallelizes its
 //! parameter grid internally through [`crate::pool`] (worker per grid
-//! shard, warm-start chain per shard).
+//! shard, one solve session per shard).
 
 use std::error::Error;
 use std::io::Write;

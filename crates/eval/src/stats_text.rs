@@ -27,14 +27,8 @@ use dpsan_obs::Snapshot;
 pub struct SolverCounters {
     /// Total solves.
     pub solves: u64,
-    /// Solves finished by the dual simplex from a restored basis.
-    pub dual_reopts: u64,
-    /// Warm primal starts (seeded, but not finished dual).
-    pub warm_primal: u64,
-    /// Cold two-phase primal solves.
+    /// Cold two-phase primal solves (every solve is one).
     pub cold_starts: u64,
-    /// Dual attempts that fell back to the primal path.
-    pub dual_fallbacks: u64,
     /// Simplex iterations over all solves.
     pub iterations: u64,
     /// Basis (re)factorizations over all solves.
@@ -45,10 +39,7 @@ impl From<&SessionStats> for SolverCounters {
     fn from(s: &SessionStats) -> Self {
         SolverCounters {
             solves: s.solves as u64,
-            dual_reopts: s.dual_reopts as u64,
-            warm_primal: s.warm_primal() as u64,
             cold_starts: s.cold_starts as u64,
-            dual_fallbacks: s.dual_fallbacks as u64,
             iterations: s.iterations as u64,
             refactorizations: s.refactorizations as u64,
         }
@@ -58,17 +49,14 @@ impl From<&SessionStats> for SolverCounters {
 impl SolverCounters {
     /// Read the solver series out of a registry snapshot (usually a
     /// [`Snapshot::delta`], to scope the counters to one experiment or
-    /// release).
+    /// release). Solves are summed over both kernel routes; every
+    /// solve is cold, so the same sum is the cold count.
     pub fn from_snapshot(s: &Snapshot) -> Self {
-        let dual = s.counter("dpsan_solves_total{path=\"dual_reopt\"}");
-        let warm = s.counter("dpsan_solves_total{path=\"warm_primal\"}");
-        let cold = s.counter("dpsan_solves_total{path=\"cold_primal\"}");
+        let solves = s.counter("dpsan_solves_total{route=\"dense\"}")
+            + s.counter("dpsan_solves_total{route=\"sparse\"}");
         SolverCounters {
-            solves: dual + warm + cold,
-            dual_reopts: dual,
-            warm_primal: warm,
-            cold_starts: cold,
-            dual_fallbacks: s.counter("dpsan_solve_dual_fallbacks_total"),
+            solves,
+            cold_starts: solves,
             iterations: s.counter("dpsan_solve_iterations_total"),
             refactorizations: s.counter("dpsan_solve_refactorizations_total"),
         }
@@ -77,15 +65,8 @@ impl SolverCounters {
     /// The shared `key=value` payload of the full-width solver lines.
     fn full_kv(&self) -> String {
         format!(
-            "solves={} dual-reopt={} warm-primal={} cold={} dual-fallbacks={} iterations={} \
-             refactorizations={}",
-            self.solves,
-            self.dual_reopts,
-            self.warm_primal,
-            self.cold_starts,
-            self.dual_fallbacks,
-            self.iterations,
-            self.refactorizations,
+            "solves={} cold={} iterations={} refactorizations={}",
+            self.solves, self.cold_starts, self.iterations, self.refactorizations,
         )
     }
 }
@@ -112,13 +93,10 @@ pub fn release_line(
     out: &std::path::Path,
 ) -> String {
     format!(
-        "release[{index}]: rows={rows} latency_ms={:.1} dual-reopt={} warm-primal={} cold={} \
-         dual-fallbacks={} eps-total={epsilon_total:.6} delta-total={delta_total:.6} out={}",
+        "release[{index}]: rows={rows} latency_ms={:.1} {} eps-total={epsilon_total:.6} \
+         delta-total={delta_total:.6} out={}",
         latency.as_secs_f64() * 1e3,
-        c.dual_reopts,
-        c.warm_primal,
-        c.cold_starts,
-        c.dual_fallbacks,
+        c.full_kv(),
         out.display(),
     )
 }
@@ -155,21 +133,26 @@ mod tests {
         // identically for the same underlying history
         let stats = SessionStats {
             solves: 5,
-            warm_starts: 4,
-            dual_reopts: 3,
-            cold_starts: 1,
-            dual_fallbacks: 1,
-            degenerate_fallbacks: 0,
+            cold_starts: 5,
             iterations: 42,
             refactorizations: 7,
+            ..SessionStats::default()
         };
         let from_stats = SolverCounters::from(&stats);
-        assert_eq!(from_stats.warm_primal, 1);
         assert_eq!(
             solver_stats_line("t", &from_stats),
-            "stats[t]: solves=5 dual-reopt=3 warm-primal=1 cold=1 dual-fallbacks=1 iterations=42 \
-             refactorizations=7"
+            "stats[t]: solves=5 cold=5 iterations=42 refactorizations=7"
         );
+        assert_eq!(
+            solver_line(&from_stats),
+            "solver: solves=5 cold=5 iterations=42 refactorizations=7"
+        );
+        let r = dpsan_obs::Registry::new();
+        r.counter_with("dpsan_solves_total", "route", "dense").add(3);
+        r.counter_with("dpsan_solves_total", "route", "sparse").add(2);
+        r.counter("dpsan_solve_iterations_total").add(42);
+        r.counter("dpsan_solve_refactorizations_total").add(7);
+        assert_eq!(SolverCounters::from_snapshot(&r.snapshot()), from_stats, "both routes count");
     }
 
     #[test]
@@ -194,6 +177,7 @@ mod tests {
             std::path::Path::new("out/release-0002.tsv"),
         );
         assert!(line.starts_with("release[2]: rows=100 latency_ms=12.0 "));
+        assert!(line.contains(" solves=0 cold=0 iterations=0 refactorizations=0 "));
         assert!(line.contains(" eps-total=1.500000 "));
         assert!(line.ends_with(" out=out/release-0002.tsv"));
     }

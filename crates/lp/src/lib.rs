@@ -21,12 +21,11 @@
 //!   eta updates of the simplex basis,
 //! * [`simplex`] — a two-phase, bounded-variable revised simplex with a
 //!   dense route for small instances and a sparse route (sparse solves,
-//!   partial pricing, incremental duals) for large ones,
+//!   partial pricing, incremental duals) for large ones; every solve
+//!   starts cold, so its answer never depends on earlier solves,
 //! * [`obs`] — telemetry handles for the sparse kernels,
 //! * [`dense_simplex`] — an independent dense tableau simplex used to
 //!   cross-check the revised implementation in tests,
-//! * [`presolve`] — light presolve (fixed columns, singleton rows,
-//!   empty rows/columns),
 //! * [`mip`] — branch & bound plus packing-aware rounding and a
 //!   feasibility-pump-style heuristic for binary programs.
 
@@ -39,7 +38,6 @@ pub mod error;
 pub mod factor;
 pub mod mip;
 pub mod obs;
-pub mod presolve;
 pub mod problem;
 pub mod scaling;
 pub mod simplex;
@@ -48,7 +46,4 @@ pub mod standard;
 
 pub use error::LpError;
 pub use problem::{Problem, RowBounds, Sense, VarBounds};
-pub use simplex::{
-    solve, solve_parametric, solve_parametric_cached, solve_with_basis, Algorithm, Basis,
-    ReoptCache, SimplexOptions, Solution, SolveStats, SolveStatus, StepHint, WarmOutcome,
-};
+pub use simplex::{solve, solve_with_stats, SimplexOptions, Solution, SolveStats, SolveStatus};

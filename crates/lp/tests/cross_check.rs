@@ -3,7 +3,6 @@
 
 use dpsan_lp::dense_simplex::solve_dense;
 use dpsan_lp::mip::{solve_mip, BbOptions};
-use dpsan_lp::presolve::presolve;
 use dpsan_lp::problem::{Problem, RowBounds, Sense, VarBounds};
 use dpsan_lp::simplex::{solve, SimplexOptions, SolveStatus};
 use proptest::prelude::*;
@@ -61,23 +60,6 @@ proptest! {
         let without = solve(&p, &SimplexOptions { scaling: false, ..Default::default() }).unwrap();
         prop_assert!((with.objective - without.objective).abs() < 1e-5,
             "scaled {} vs unscaled {}", with.objective, without.objective);
-    }
-
-    #[test]
-    fn presolve_preserves_optimum(
-        n in 2usize..6,
-        m in 1usize..5,
-        coefs in prop::collection::vec(0.0f64..2.0, 30),
-        rhs in prop::collection::vec(0.5f64..4.0, 5),
-    ) {
-        let p = random_packing_lp(n, m, coefs, rhs);
-        let direct = solve(&p, &SimplexOptions::default()).unwrap();
-        let pre = presolve(&p);
-        prop_assert!(pre.verdict.is_none());
-        let sub = solve(&pre.reduced, &SimplexOptions::default()).unwrap();
-        let lifted = pre.postsolve(&sub.x);
-        prop_assert!((p.objective_value(&lifted) - direct.objective).abs() < 1e-5);
-        prop_assert!(p.max_violation(&lifted) < 1e-6);
     }
 
     #[test]
@@ -148,7 +130,7 @@ fn moderate_lp_solves_quickly_and_feasibly() {
 }
 
 /// The F-UMP shape (packing rows + equality + abs-split ≥ rows) at a
-/// given budget rhs; shared by the dense- and sparse-route sweeps.
+/// given budget rhs.
 fn fump_sweep_problem(budget: f64) -> Problem {
     let n = 4;
     let total = 6.0;
@@ -168,45 +150,6 @@ fn fump_sweep_problem(budget: f64) -> Problem {
         p.add_row(RowBounds::at_least(targets[f]), &[(ys[f], 1.0), (xs[f], 1.0 / total)]).unwrap();
     }
     p
-}
-
-#[test]
-fn dual_reopt_matches_dense_on_fump_shaped_rhs_sweep() {
-    // swept over its budget rhs: dual reoptimization from the previous
-    // basis must track the independent dense solver at every step
-    use dpsan_lp::simplex::{solve_parametric_cached, ReoptCache, StepHint};
-    let build = fump_sweep_problem;
-    let opts = SimplexOptions::default();
-    let mut cache = ReoptCache::new();
-    let first =
-        solve_parametric_cached(&build(4.0), &opts, None, StepHint::Fresh, &mut cache).unwrap();
-    assert_eq!(first.solution.status, SolveStatus::Optimal);
-    let mut basis = first.basis;
-    for budget in [3.0, 2.2, 2.8, 1.9, 3.5] {
-        let p = build(budget);
-        let fast =
-            solve_parametric_cached(&p, &opts, basis.as_ref(), StepHint::RhsOnly, &mut cache)
-                .unwrap();
-        let slow = solve_dense(&p);
-        assert_eq!(fast.solution.status, SolveStatus::Optimal, "budget {budget}");
-        assert_eq!(slow.status, SolveStatus::Optimal, "budget {budget}");
-        // the equality row's fixed slack must not scare the dual path
-        // off (its reduced cost is an equality dual — any sign is fine)
-        assert_eq!(
-            fast.stats.algorithm,
-            dpsan_lp::simplex::Algorithm::DualReopt,
-            "budget {budget}: rhs-only F-UMP steps ride the dual path: {:?}",
-            fast.stats
-        );
-        assert!(
-            (fast.solution.objective - slow.objective).abs() < 1e-9,
-            "budget {budget}: dual {} vs dense {}",
-            fast.solution.objective,
-            slow.objective
-        );
-        assert!(p.max_violation(&fast.solution.x) < 1e-7, "budget {budget}");
-        basis = fast.basis;
-    }
 }
 
 #[test]
@@ -333,7 +276,7 @@ fn sparse_route_matches_dense_on_fump_and_moderate_shapes() {
 fn auto_routing_selects_sparse_at_scale_and_matches_dense() {
     // an O-UMP-shaped block LP with ≥ 512 rows routes sparse by
     // default; the answer must still match the forced-dense oracle
-    use dpsan_lp::simplex::solve_with_basis;
+    use dpsan_lp::simplex::solve_with_stats;
     let blocks = 280; // 280 users x 2 rows/user = 560 rows ≥ 512
     let mut p = Problem::new(Sense::Maximize);
     let mut cols = Vec::new();
@@ -353,54 +296,16 @@ fn auto_routing_selects_sparse_at_scale_and_matches_dense() {
         p.add_row(RowBounds::at_most(1.0), &[(cols[base + 1], 0.6), (cols[base + 2], 0.2)])
             .unwrap();
     }
-    let auto = solve_with_basis(&p, &SimplexOptions::default(), None).unwrap();
-    assert!(auto.stats.sparse, "560-row LP must route sparse by default");
-    assert_eq!(auto.solution.status, SolveStatus::Optimal);
+    let (auto, stats) = solve_with_stats(&p, &SimplexOptions::default()).unwrap();
+    assert!(stats.sparse, "560-row LP must route sparse by default");
+    assert_eq!(auto.status, SolveStatus::Optimal);
     let de = solve(&p, &force_dense()).unwrap();
     assert!(
-        (auto.solution.objective - de.objective).abs() < ROUTE_TOL * de.objective.abs().max(1.0),
+        (auto.objective - de.objective).abs() < ROUTE_TOL * de.objective.abs().max(1.0),
         "sparse {} vs dense {}",
-        auto.solution.objective,
+        auto.objective,
         de.objective
     );
-}
-
-#[test]
-fn dual_reopt_sparse_route_matches_dense_oracle_on_rhs_sweep() {
-    // the same F-UMP rhs sweep as the dense-route test, but forced onto
-    // the sparse dual path: must stay on DualReopt and track the
-    // independent dense solver to 1e-9 at every step
-    use dpsan_lp::simplex::{solve_parametric_cached, ReoptCache, StepHint};
-    let opts = force_sparse();
-    let mut cache = ReoptCache::new();
-    let first =
-        solve_parametric_cached(&fump_sweep_problem(4.0), &opts, None, StepHint::Fresh, &mut cache)
-            .unwrap();
-    assert_eq!(first.solution.status, SolveStatus::Optimal);
-    assert!(first.stats.sparse, "forced sparse");
-    let mut basis = first.basis;
-    for budget in [3.0, 2.2, 2.8, 1.9, 3.5] {
-        let p = fump_sweep_problem(budget);
-        let fast =
-            solve_parametric_cached(&p, &opts, basis.as_ref(), StepHint::RhsOnly, &mut cache)
-                .unwrap();
-        let slow = solve_dense(&p);
-        assert_eq!(fast.solution.status, SolveStatus::Optimal, "budget {budget}");
-        assert_eq!(
-            fast.stats.algorithm,
-            dpsan_lp::simplex::Algorithm::DualReopt,
-            "budget {budget}: rhs-only steps ride the dual path even when sparse: {:?}",
-            fast.stats
-        );
-        assert!(
-            (fast.solution.objective - slow.objective).abs() < ROUTE_TOL,
-            "budget {budget}: sparse dual {} vs dense {}",
-            fast.solution.objective,
-            slow.objective
-        );
-        assert!(p.max_violation(&fast.solution.x) < 1e-7, "budget {budget}");
-        basis = fast.basis;
-    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! ```text
 //! appended TSV ──FollowReader (line-atomic)──▶ IngestSession (live
 //!   shards + sketches) ──trigger──▶ ReleasePlanner (budget ledger)
-//!   ──▶ persistent SolveSession (dual reopt) ──▶ release-NNNN.tsv
+//!   ──▶ persistent mechanism (cold LP solve) ──▶ release-NNNN.tsv
 //! ```
 //!
 //! Three properties carry the design:
@@ -19,13 +19,11 @@
 //!    re-release is byte-identical to a one-shot `sanitize` over the
 //!    same prefix with the same seed — for any shard count or drain
 //!    parallelism (CI diffs this).
-//! 2. **Re-solves ride the parametric fast path.** The mechanism
-//!    object (and so the `SolveSession` inside a `UmpSanitizer`)
-//!    persists across releases: appended events move the per-user
-//!    counts, the re-solve starts from the previous optimal basis, and
-//!    the dual simplex reoptimizes in a few pivots. Cold solves recur
-//!    only when the LP shape changes (new pairs surviving
-//!    preprocessing).
+//! 2. **Re-solves are history-free.** The mechanism object (and so the
+//!    `SolveSession` inside a `UmpSanitizer`) persists across releases
+//!    to count their solver work, but every re-solve is one cold LP
+//!    solve over the current window: nothing from an earlier release
+//!    can reach the answer.
 //! 3. **Composition is enforced, not just recorded.** The lifetime
 //!    `(ε, δ)` ledger refuses a release it cannot afford
 //!    ([`dpsan_dp::BudgetError`]); the service treats that refusal as

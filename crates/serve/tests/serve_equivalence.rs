@@ -3,8 +3,8 @@
 //! 1. every windowed re-release is byte-identical to a one-shot
 //!    sanitize over the same window, across shard counts and drain
 //!    parallelism;
-//! 2. re-releases after appends ride the dual-reopt fast path (cold
-//!    solves only on LP shape changes);
+//! 2. every re-release after appends is exactly one cold solve, and
+//!    matches the one-shot release of its window;
 //! 3. the cross-release ledger composes and refuses exactly as
 //!    configured, leaving ingest state intact on refusal.
 
@@ -97,19 +97,13 @@ fn zealous_rereleases_match_one_shot() {
 }
 
 #[test]
-fn rereleases_ride_the_dual_reopt_fast_path() {
+fn each_rerelease_is_exactly_one_cold_solve() {
     // Recurring traffic: after the population and its pairs are seen,
     // appended events revisit existing (user, query, url) triplets —
     // counts move but the LP shape (users × pairs after
-    // preprocessing) is fixed. The persistent session then re-solves
-    // by dual reoptimization from the previous optimal basis instead
-    // of cold-starting — unless the instance's optimum is not unique,
-    // in which case the determinism guard discards the warm vertex and
-    // re-solves cold so the release stays byte-identical to one-shot
-    // (counted in `degenerate_fallbacks`). Either way there must be
-    // exactly one solve per round and no *unexplained* cold start
-    // (a shape-change degrade would show as cold_starts without a
-    // matching degenerate_fallback).
+    // preprocessing) is fixed. The persistent session still solves
+    // each round from scratch: exactly one cold solve per re-release,
+    // and the release equals a fresh one-shot over the same window.
     let chunks = trace_chunks(60, 1);
     let full = &chunks[0];
     let mut session = ServeSession::new(
@@ -123,6 +117,7 @@ fn rereleases_ride_the_dual_reopt_fast_path() {
     session.feed(full.as_bytes()).unwrap();
     let first = session.release_now().unwrap();
     assert_eq!(first.solver.cold_starts, 1, "first release solves cold");
+    let mut window = full.clone();
 
     // three append → re-release rounds of recurring traffic, spread
     // evenly over the population (every 13th event repeats) so no
@@ -132,19 +127,12 @@ fn rereleases_ride_the_dual_reopt_fast_path() {
         let append: String =
             lines.iter().skip(round).step_by(13).map(|l| format!("{l}\n")).collect();
         session.feed(append.as_bytes()).unwrap();
+        window.push_str(&append);
         let re = session.release_now().unwrap();
         assert_eq!(re.solver.solves, 1);
-        assert!(
-            re.solver.dual_reopts == 1
-                || (re.solver.degenerate_fallbacks == 1 && re.solver.cold_starts == 1),
-            "round {round}: neither the dual path nor a guard veto: {:?}",
-            re.solver
-        );
-        assert_eq!(
-            re.solver.cold_starts, re.solver.degenerate_fallbacks,
-            "round {round}: cold start not explained by the determinism guard: {:?}",
-            re.solver
-        );
+        assert_eq!(re.solver.cold_starts, re.solver.solves, "round {round}: {:?}", re.solver);
+        let reference = one_shot(&window, &UmpSanitizer::new(UtilityObjective::OutputSize));
+        assert_eq!(tsv_bytes(&re.output), reference, "round {round}: history reached the release");
     }
     let recs = session.records();
     assert_eq!(recs.len(), 4);
